@@ -264,14 +264,14 @@ for needle in ("richnote_service_ingest_accepted_total 8",
                "richnote_service_ingest_rejected_parse_total 1",
                "richnote_service_rounds_total 4",
                "richnote_service_reshards_total 1",
-               # Lifecycle-era vocabulary (DESIGN.md §13): svc counters,
-               # stage-latency histograms and per-endpoint RED labels.
-               "richnote_svc_ingest_rejected_backpressure 0",
+               "richnote_service_ingest_rejected_backpressure_total 0",
+               # Lifecycle vocabulary (DESIGN.md §13): stage-latency
+               # histograms and per-endpoint RED labels.
                "richnote_svc_e2e_us_bucket",
                "richnote_svc_ingest_to_admit_us_count",
                'richnote_svc_http_requests_total{endpoint="ingest"} 1',
                'richnote_svc_http_duration_us_bucket{endpoint="round"',
-               "# HELP richnote_svc_ingest_rejected_backpressure"):
+               "# HELP richnote_service_ingest_rejected_backpressure_total"):
     assert needle in metrics, f"missing from /metrics: {needle}"
 
 status, body = get("/exemplars")
@@ -362,7 +362,7 @@ status, body = post("/round", "")
 assert status == 200, (status, body)
 with urllib.request.urlopen(base + "/metrics", timeout=30) as r:
     metrics = r.read().decode()
-assert "richnote_svc_ingest_rejected_backpressure 4" in metrics, metrics
+assert "richnote_service_ingest_rejected_backpressure_total 4" in metrics, metrics
 assert "richnote_service_ingest_accepted_total 4" in metrics
 
 status, body = post("/shutdown", "")

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/worker_pool.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/profile.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/simulator.hpp"
@@ -88,6 +89,36 @@ std::vector<std::uint64_t> experiment_setup::default_category_edges() const {
     std::vector<std::uint64_t> edges = {at(0.25), at(0.5), at(0.75)};
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     return edges;
+}
+
+experiment_result summarize_run(const experiment_params& params, const metrics_recorder& metrics,
+                                const std::vector<broker>& brokers, std::uint64_t rounds_run,
+                                const std::vector<std::uint64_t>& category_edges) {
+    experiment_result r;
+    r.scheduler_name = to_string(params.kind);
+    if (params.kind == scheduler_kind::fifo || params.kind == scheduler_kind::util) {
+        r.scheduler_name += "(L" + std::to_string(params.fixed_level) + ")";
+    }
+    r.weekly_budget_mb = params.weekly_budget_mb;
+    const user_metrics t = metrics.totals();
+    r.delivery_ratio = t.delivery_ratio();
+    r.delivered_mb = t.bytes_delivered / 1e6;
+    r.metered_mb = t.metered_bytes_delivered / 1e6;
+    r.recall = t.recall();
+    r.precision = t.precision();
+    r.total_utility = t.utility_delivered;
+    r.utility_clicked = t.utility_clicked;
+    r.avg_utility = t.average_utility();
+    r.energy_kj = t.energy_joules / 1000.0;
+    r.mean_delay_min = t.queuing_delay_sec.mean() / 60.0;
+    r.level_mix = metrics.level_mix();
+    r.user_categories = metrics.utility_by_user_category(category_edges);
+    r.rounds_run = rounds_run;
+    r.faults = t.faults;
+    double queue_total = 0.0;
+    for (const broker& b : brokers) queue_total += static_cast<double>(b.sched().queue_size());
+    r.final_queue_items = queue_total / static_cast<double>(brokers.size());
+    return r;
 }
 
 double round_budget_bytes(const experiment_params& params) noexcept {
@@ -295,17 +326,17 @@ experiment_result run_experiment(const experiment_setup& setup,
             snap.queue_bytes_total += b.sched().queue_bytes();
             snap.energy_credit_joules_total += b.sched().energy_credit_joules();
         }
-        snap.arrived_total = static_cast<std::uint64_t>(metrics.total_arrived());
-        snap.delivered_total = static_cast<std::uint64_t>(metrics.total_delivered());
-        const auto f = metrics.fault_summary();
-        snap.faults_injected = f.faults_injected;
-        snap.transfer_retries = f.transfer_retries;
-        snap.dead_lettered = f.dead_lettered;
-        snap.duplicates_suppressed = f.duplicates_suppressed;
-        snap.crash_restarts = f.crash_restarts;
+        const user_metrics totals = metrics.totals();
+        snap.arrived_total = totals.arrived;
+        snap.delivered_total = totals.delivered;
+        snap.faults_injected = totals.faults.faults_injected;
+        snap.transfer_retries = totals.faults.transfer_retries;
+        snap.dead_lettered = totals.faults.dead_lettered;
+        snap.duplicates_suppressed = totals.faults.duplicates_suppressed;
+        snap.crash_restarts = totals.faults.crash_restarts;
         snap.done = done;
         richnote::obs::metrics_registry live;
-        export_metrics(metrics, live);
+        export_metrics(totals, live);
         params.progress->on_round(snap, live);
     };
 
@@ -333,6 +364,7 @@ experiment_result run_experiment(const experiment_setup& setup,
             const bool fast_due = fast_next[u] <= now;
             const bool batch_due = batch_tick && batch_next[u] <= now;
             if (fast_due || batch_due) {
+                RICHNOTE_PROFILE_SCOPE(richnote::obs::profile_slot::admit);
                 const auto& stream = world.notifications().per_user[u];
                 auto collect_due = [&](const std::vector<std::size_t>& index,
                                        std::size_t& cursor, std::vector<std::size_t>& due,
@@ -410,32 +442,10 @@ experiment_result run_experiment(const experiment_setup& setup,
     sim.run();
     if (params.progress != nullptr) publish_progress(rounds_run, true);
 
-    // Aggregate.
-    experiment_result r;
-    r.scheduler_name = to_string(params.kind);
-    if (params.kind == scheduler_kind::fifo || params.kind == scheduler_kind::util) {
-        r.scheduler_name += "(L" + std::to_string(params.fixed_level) + ")";
-    }
-    r.weekly_budget_mb = params.weekly_budget_mb;
-    r.delivery_ratio = metrics.delivery_ratio();
-    r.delivered_mb = metrics.total_bytes_delivered() / 1e6;
-    r.metered_mb = metrics.total_metered_bytes() / 1e6;
-    r.recall = metrics.recall();
-    r.precision = metrics.precision();
-    r.total_utility = metrics.total_utility();
-    r.utility_clicked = metrics.total_utility_clicked();
-    r.avg_utility = metrics.average_utility_per_delivery();
-    r.energy_kj = metrics.total_energy_joules() / 1000.0;
-    r.mean_delay_min = metrics.mean_queuing_delay_sec() / 60.0;
-    r.level_mix = metrics.level_mix();
-    r.user_categories = metrics.utility_by_user_category(setup.default_category_edges());
-    r.rounds_run = rounds_run;
-    r.faults = metrics.fault_summary();
+    experiment_result r =
+        summarize_run(params, metrics, brokers, rounds_run, setup.default_category_edges());
     r.trajectories = std::move(trajectories);
-    double queue_total = 0.0;
-    for (const auto& b : brokers) queue_total += static_cast<double>(b.sched().queue_size());
-    r.final_queue_items = queue_total / static_cast<double>(brokers.size());
-    if (params.registry != nullptr) export_metrics(metrics, *params.registry);
+    if (params.registry != nullptr) export_metrics(metrics.totals(), *params.registry);
     return r;
 }
 

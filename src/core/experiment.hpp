@@ -148,7 +148,7 @@ struct experiment_result {
     double final_queue_items = 0.0; ///< mean scheduling-queue length at end
 
     /// Fault/recovery tallies over the run (all zero without a fault plan).
-    metrics_recorder::fault_totals faults;
+    fault_counters faults;
 
     /// Per-round control-state samples for experiment_params::telemetry_users.
     std::shared_ptr<telemetry> trajectories;
@@ -201,6 +201,12 @@ private:
 /// Runs one scheduler over the whole trace and aggregates metrics.
 experiment_result run_experiment(const experiment_setup& setup,
                                  const experiment_params& params);
+
+/// Builds a run's result from its recorder and final fleet: the one
+/// aggregation behind both run_experiment and notification_service::summarize.
+experiment_result summarize_run(const experiment_params& params, const metrics_recorder& metrics,
+                                const std::vector<broker>& brokers, std::uint64_t rounds_run,
+                                const std::vector<std::uint64_t>& category_edges);
 
 /// theta: the per-round slice of the weekly budget (§V-C "budget per week").
 double round_budget_bytes(const experiment_params& params) noexcept;

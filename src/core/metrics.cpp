@@ -1,12 +1,32 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "obs/metrics_registry.hpp"
 
 namespace richnote::core {
+
+namespace {
+
+/// Calls f(slot) for every flagged user in ascending order. memchr skips
+/// the untouched runs a word or vector at a time.
+template <class F>
+void for_each_touched(const std::vector<std::uint8_t>& touched,
+                      const std::vector<user_metrics>& users, F&& f) {
+    const std::uint8_t* const flags = touched.data();
+    const std::size_t n = touched.size();
+    for (std::size_t u = 0; u < n; ++u) {
+        const void* hit = std::memchr(flags + u, 1, n - u);
+        if (hit == nullptr) return;
+        u = static_cast<std::size_t>(static_cast<const std::uint8_t*>(hit) - flags);
+        f(users[u]);
+    }
+}
+
+} // namespace
 
 double user_metrics::delivery_ratio() const noexcept {
     return arrived ? static_cast<double>(delivered) / static_cast<double>(arrived) : 0.0;
@@ -24,27 +44,53 @@ double user_metrics::recall() const noexcept {
                : 0.0;
 }
 
+double user_metrics::average_utility() const noexcept {
+    return delivered ? utility_delivered / static_cast<double>(delivered) : 0.0;
+}
+
+user_metrics& user_metrics::accumulate(const user_metrics& other) noexcept {
+    arrived += other.arrived;
+    delivered += other.delivered;
+    clicked_total += other.clicked_total;
+    delivered_clicked += other.delivered_clicked;
+    delivered_before_click += other.delivered_before_click;
+    bytes_delivered += other.bytes_delivered;
+    metered_bytes_delivered += other.metered_bytes_delivered;
+    utility_delivered += other.utility_delivered;
+    utility_clicked += other.utility_clicked;
+    energy_joules += other.energy_joules;
+    queuing_delay_sec.merge(other.queuing_delay_sec);
+    for (std::size_t level = 0; level < level_counts.size(); ++level)
+        level_counts[level] += other.level_counts[level];
+    faults.accumulate(other.faults);
+    return *this;
+}
+
 metrics_recorder::metrics_recorder(std::size_t user_count, std::size_t max_level)
-    : users_(user_count), max_level_(max_level) {
+    : users_(user_count), touched_(user_count, 0), max_level_(max_level) {
     RICHNOTE_REQUIRE(user_count > 0, "metrics need at least one user");
     RICHNOTE_REQUIRE(max_level >= 1, "metrics need at least one presentation level");
     for (auto& u : users_) u.level_counts.assign(max_level + 1, 0);
 }
 
+user_metrics& metrics_recorder::touch(std::size_t u) {
+    RICHNOTE_REQUIRE(u < users_.size(), "user out of range");
+    touched_[u] = 1;
+    return users_[u];
+}
+
 void metrics_recorder::on_arrival(const trace::notification& n) {
-    RICHNOTE_REQUIRE(n.recipient < users_.size(), "recipient out of range");
-    user_metrics& u = users_[n.recipient];
+    user_metrics& u = touch(n.recipient);
     ++u.arrived;
     if (n.clicked) ++u.clicked_total;
 }
 
 void metrics_recorder::on_delivery(const planned_delivery& d, richnote::sim::sim_time when,
                                    double energy_joules, bool metered, double bytes_moved) {
-    RICHNOTE_REQUIRE(d.note.recipient < users_.size(), "recipient out of range");
     RICHNOTE_REQUIRE(d.level >= 1 && d.level <= max_level_,
                      "delivery level out of range");
     if (bytes_moved < 0.0) bytes_moved = d.size_bytes;
-    user_metrics& u = users_[d.note.recipient];
+    user_metrics& u = touch(d.note.recipient);
     ++u.delivered;
     u.bytes_delivered += bytes_moved;
     if (metered) u.metered_bytes_delivered += bytes_moved;
@@ -62,42 +108,35 @@ void metrics_recorder::on_delivery(const planned_delivery& d, richnote::sim::sim
 }
 
 void metrics_recorder::on_session_overhead(trace::user_id user, double energy_joules) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
-    users_[user].energy_joules += energy_joules;
+    touch(user).energy_joules += energy_joules;
 }
 
 void metrics_recorder::on_fault(trace::user_id user) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
-    ++users_[user].faults.faults_injected;
+    ++touch(user).faults.faults_injected;
 }
 
 void metrics_recorder::on_transfer_interrupted(trace::user_id user, double bytes_moved) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
     RICHNOTE_REQUIRE(bytes_moved >= 0.0, "negative partial byte count");
-    fault_counters& f = users_[user].faults;
+    fault_counters& f = touch(user).faults;
     ++f.transfer_retries;
     f.partial_bytes += bytes_moved;
 }
 
 void metrics_recorder::on_dead_letter(trace::user_id user) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
-    ++users_[user].faults.dead_lettered;
+    ++touch(user).faults.dead_lettered;
 }
 
 void metrics_recorder::on_duplicate_suppressed(trace::user_id user) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
-    ++users_[user].faults.duplicates_suppressed;
+    ++touch(user).faults.duplicates_suppressed;
 }
 
 void metrics_recorder::on_crash_restart(trace::user_id user) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
-    ++users_[user].faults.crash_restarts;
+    ++touch(user).faults.crash_restarts;
 }
 
 void metrics_recorder::on_resume(trace::user_id user, double bytes) {
-    RICHNOTE_REQUIRE(user < users_.size(), "user out of range");
     RICHNOTE_REQUIRE(bytes >= 0.0, "negative resumed byte count");
-    users_[user].faults.resumed_bytes += bytes;
+    touch(user).faults.resumed_bytes += bytes;
 }
 
 const user_metrics& metrics_recorder::user(std::size_t u) const {
@@ -105,82 +144,11 @@ const user_metrics& metrics_recorder::user(std::size_t u) const {
     return users_[u];
 }
 
-double metrics_recorder::total_arrived() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += static_cast<double>(u.arrived);
-    return total;
-}
-
-double metrics_recorder::total_delivered() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += static_cast<double>(u.delivered);
-    return total;
-}
-
-double metrics_recorder::delivery_ratio() const noexcept {
-    const double arrived = total_arrived();
-    return arrived > 0 ? total_delivered() / arrived : 0.0;
-}
-
-double metrics_recorder::total_bytes_delivered() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.bytes_delivered;
-    return total;
-}
-
-double metrics_recorder::total_metered_bytes() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.metered_bytes_delivered;
-    return total;
-}
-
-double metrics_recorder::recall() const noexcept {
-    double clicked = 0;
-    double hit = 0;
-    for (const auto& u : users_) {
-        clicked += static_cast<double>(u.clicked_total);
-        hit += static_cast<double>(u.delivered_clicked);
-    }
-    return clicked > 0 ? hit / clicked : 0.0;
-}
-
-double metrics_recorder::precision() const noexcept {
-    double delivered = 0;
-    double hit = 0;
-    for (const auto& u : users_) {
-        delivered += static_cast<double>(u.delivered);
-        hit += static_cast<double>(u.delivered_before_click);
-    }
-    return delivered > 0 ? hit / delivered : 0.0;
-}
-
-double metrics_recorder::total_utility() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.utility_delivered;
-    return total;
-}
-
-double metrics_recorder::total_utility_clicked() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.utility_clicked;
-    return total;
-}
-
-double metrics_recorder::average_utility_per_delivery() const noexcept {
-    const double delivered = total_delivered();
-    return delivered > 0 ? total_utility() / delivered : 0.0;
-}
-
-double metrics_recorder::total_energy_joules() const noexcept {
-    double total = 0;
-    for (const auto& u : users_) total += u.energy_joules;
-    return total;
-}
-
-double metrics_recorder::mean_queuing_delay_sec() const noexcept {
-    richnote::running_stats all;
-    for (const auto& u : users_) all.merge(u.queuing_delay_sec);
-    return all.mean();
+user_metrics metrics_recorder::totals() const {
+    user_metrics t;
+    t.level_counts.assign(max_level_ + 1, 0);
+    for_each_touched(touched_, users_, [&t](const user_metrics& u) { t.accumulate(u); });
+    return t;
 }
 
 std::vector<double> metrics_recorder::level_mix() const {
@@ -188,22 +156,16 @@ std::vector<double> metrics_recorder::level_mix() const {
     const double arrived = total_arrived();
     if (arrived <= 0) return mix;
     double delivered = 0;
-    for (const auto& u : users_) {
+    for_each_touched(touched_, users_, [&](const user_metrics& u) {
         for (std::size_t level = 1; level <= max_level_; ++level) {
             mix[level] += static_cast<double>(u.level_counts[level]) / arrived;
             delivered += static_cast<double>(u.level_counts[level]);
         }
-    }
+    });
     mix[0] = 1.0 - delivered / arrived; // slot 0: the never-delivered
                                         // fraction ("simply the missing
                                         // fraction in each stack").
     return mix;
-}
-
-metrics_recorder::fault_totals metrics_recorder::fault_summary() const noexcept {
-    fault_totals t;
-    for (const auto& u : users_) t.accumulate(u.faults);
-    return t;
 }
 
 std::vector<metrics_recorder::user_category_row> metrics_recorder::utility_by_user_category(
@@ -243,22 +205,20 @@ std::vector<metrics_recorder::user_category_row> metrics_recorder::utility_by_us
     return rows;
 }
 
-void export_metrics(const metrics_recorder& metrics, richnote::obs::metrics_registry& registry) {
-    registry.count("richnote.delivery.arrived_total",
-                   static_cast<std::uint64_t>(metrics.total_arrived()));
-    registry.count("richnote.delivery.delivered_total",
-                   static_cast<std::uint64_t>(metrics.total_delivered()));
-    registry.gauge_set("richnote.delivery.bytes_total", metrics.total_bytes_delivered());
-    registry.gauge_set("richnote.delivery.metered_bytes_total", metrics.total_metered_bytes());
-    registry.gauge_set("richnote.run.delivery_ratio", metrics.delivery_ratio());
-    registry.gauge_set("richnote.run.precision", metrics.precision());
-    registry.gauge_set("richnote.run.recall", metrics.recall());
-    registry.gauge_set("richnote.run.utility_total", metrics.total_utility());
-    registry.gauge_set("richnote.run.utility_clicked_total", metrics.total_utility_clicked());
-    registry.gauge_set("richnote.run.energy_joules_total", metrics.total_energy_joules());
-    registry.gauge_set("richnote.run.mean_queuing_delay_sec", metrics.mean_queuing_delay_sec());
+void export_metrics(const user_metrics& totals, richnote::obs::metrics_registry& registry) {
+    registry.count("richnote.delivery.arrived_total", totals.arrived);
+    registry.count("richnote.delivery.delivered_total", totals.delivered);
+    registry.gauge_set("richnote.delivery.bytes_total", totals.bytes_delivered);
+    registry.gauge_set("richnote.delivery.metered_bytes_total", totals.metered_bytes_delivered);
+    registry.gauge_set("richnote.run.delivery_ratio", totals.delivery_ratio());
+    registry.gauge_set("richnote.run.precision", totals.precision());
+    registry.gauge_set("richnote.run.recall", totals.recall());
+    registry.gauge_set("richnote.run.utility_total", totals.utility_delivered);
+    registry.gauge_set("richnote.run.utility_clicked_total", totals.utility_clicked);
+    registry.gauge_set("richnote.run.energy_joules_total", totals.energy_joules);
+    registry.gauge_set("richnote.run.mean_queuing_delay_sec", totals.queuing_delay_sec.mean());
 
-    const fault_counters f = metrics.fault_summary();
+    const fault_counters& f = totals.faults;
     registry.count("richnote.faults.injected_total", f.faults_injected);
     registry.count("richnote.faults.retries_total", f.transfer_retries);
     registry.count("richnote.faults.dead_letters_total", f.dead_lettered);

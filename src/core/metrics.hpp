@@ -21,7 +21,8 @@ class metrics_registry;
 
 namespace richnote::core {
 
-/// Per-user tallies; aggregated across users for reporting.
+/// Per-user tallies; metrics_recorder::totals() sums them into the same
+/// struct for the run-wide figures (Figs. 3/4 are sums and ratios of sums).
 struct user_metrics {
     std::uint64_t arrived = 0;
     std::uint64_t delivered = 0;
@@ -40,18 +41,23 @@ struct user_metrics {
     /// counter block also carried by telemetry samples and fault summaries.
     fault_counters faults;
 
-    double delivery_ratio() const noexcept;
+    double delivery_ratio() const noexcept; ///< Fig. 3(a) over the run totals
     /// §V-C: "the fraction of delivered notifications (before the recorded
     /// click time in the Spotify trace) that are clicked on by the users".
     double precision() const noexcept; ///< delivered_before_click / delivered
     /// §V-C: "the fraction of total clicked notifications that are
     /// delivered to the users" (no before-click qualifier).
     double recall() const noexcept;    ///< delivered_clicked / clicked_total
+    double average_utility() const noexcept; ///< utility_delivered / delivered
+
+    /// Adds `other`'s tallies field by field (level_counts must match in size).
+    user_metrics& accumulate(const user_metrics& other) noexcept;
 };
 
-/// All mutating calls touch only the recipient user's slot, so the
-/// recorder is safe under user-sharded parallelism (each user driven by
-/// exactly one worker thread); aggregates are computed after the run.
+/// All mutating calls touch only the recipient user's slot and its byte in
+/// the touched-user flags, so the recorder is safe under user-sharded
+/// parallelism (each user driven by exactly one worker thread); aggregates
+/// are computed between rounds or after the run.
 class metrics_recorder {
 public:
     explicit metrics_recorder(std::size_t user_count, std::size_t max_level);
@@ -98,19 +104,18 @@ public:
     std::size_t user_count() const noexcept { return users_.size(); }
     std::size_t max_level() const noexcept { return max_level_; }
 
-    // ----- aggregates across users (each the mean/sum the paper plots) ----
-    double total_arrived() const noexcept;
-    double total_delivered() const noexcept;
-    double delivery_ratio() const noexcept;      ///< Fig. 3(a)
-    double total_bytes_delivered() const noexcept; ///< Fig. 3(b)
-    double total_metered_bytes() const noexcept;
-    double recall() const noexcept;              ///< Fig. 3(c)
-    double precision() const noexcept;           ///< Fig. 3(d)
-    double total_utility() const noexcept;       ///< Fig. 4(a)
-    double total_utility_clicked() const noexcept; ///< Fig. 4(b)
-    double average_utility_per_delivery() const noexcept;
-    double total_energy_joules() const noexcept; ///< Fig. 4(c)
-    double mean_queuing_delay_sec() const noexcept; ///< Fig. 4(d)
+    /// The run totals: every user's tallies summed in one pass in ascending
+    /// user order, visiting only users some on_* call has touched. An
+    /// untouched user's slot is all zeros, so skipping it adds only exact
+    /// +0.0 terms and empty accumulators: the sums are bit-identical to a
+    /// pass over every user, at a cost of O(touched users) plus a scan of
+    /// one flag byte per user.
+    user_metrics totals() const;
+
+    // Thin views of totals() for callers that need one number.
+    double total_arrived() const { return static_cast<double>(totals().arrived); }
+    double total_delivered() const { return static_cast<double>(totals().delivered); }
+    double delivery_ratio() const { return totals().delivery_ratio(); }
 
     /// Fraction of deliveries at each level 1..max (Figs. 5(b)/(c));
     /// index 0 counts items never delivered ("missing fraction").
@@ -128,19 +133,23 @@ public:
     std::vector<user_category_row> utility_by_user_category(
         const std::vector<std::uint64_t>& edges) const;
 
-    /// Fault / recovery tallies summed across users (the same counter block
-    /// each user carries — see core/counters.hpp).
-    using fault_totals = fault_counters;
-    fault_totals fault_summary() const noexcept;
-
 private:
+    /// Range-checks `u`, flags it touched and returns its slot.
+    user_metrics& touch(std::size_t u);
+
     std::vector<user_metrics> users_;
+    /// One byte per user, set by every mutating call. Bytes rather than
+    /// vector<bool> bits: concurrent shards write their own users' flags,
+    /// and distinct bytes are distinct memory locations, so no two workers
+    /// ever race on a shared word.
+    std::vector<std::uint8_t> touched_;
     std::size_t max_level_;
 };
 
-/// Exports a finished run's aggregates into the obs registry under the
-/// canonical richnote.* metric names (DESIGN.md §9) — the one place the
-/// recorder's tallies and the fault counter block become named series.
-void export_metrics(const metrics_recorder& metrics, richnote::obs::metrics_registry& registry);
+/// Exports run totals (metrics_recorder::totals()) into the obs registry
+/// under the canonical richnote.* metric names (DESIGN.md §9) — the one
+/// place the recorder's tallies and the fault counter block become named
+/// series.
+void export_metrics(const user_metrics& totals, richnote::obs::metrics_registry& registry);
 
 } // namespace richnote::core

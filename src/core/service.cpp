@@ -6,6 +6,7 @@
 #include "core/wire.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace richnote::core {
@@ -158,6 +159,7 @@ void notification_service::run_round() {
                         return p.note.created_at <= now;
                     });
                 if (mid != pend.begin()) {
+                    RICHNOTE_PROFILE_SCOPE(richnote::obs::profile_slot::admit);
                     std::stable_sort(pend.begin(), mid,
                                      [](const pending_item& a, const pending_item& b) {
                                          return canonical_before(a.note, b.note);
@@ -237,32 +239,8 @@ service_counters notification_service::counters() const {
 }
 
 experiment_result notification_service::summarize() const {
-    experiment_result r;
-    const experiment_params& ep = params_.experiment;
-    r.scheduler_name = to_string(ep.kind);
-    if (ep.kind == scheduler_kind::fifo || ep.kind == scheduler_kind::util) {
-        r.scheduler_name += "(L" + std::to_string(ep.fixed_level) + ")";
-    }
-    r.weekly_budget_mb = ep.weekly_budget_mb;
-    r.delivery_ratio = metrics_.delivery_ratio();
-    r.delivered_mb = metrics_.total_bytes_delivered() / 1e6;
-    r.metered_mb = metrics_.total_metered_bytes() / 1e6;
-    r.recall = metrics_.recall();
-    r.precision = metrics_.precision();
-    r.total_utility = metrics_.total_utility();
-    r.utility_clicked = metrics_.total_utility_clicked();
-    r.avg_utility = metrics_.average_utility_per_delivery();
-    r.energy_kj = metrics_.total_energy_joules() / 1000.0;
-    r.mean_delay_min = metrics_.mean_queuing_delay_sec() / 60.0;
-    r.level_mix = metrics_.level_mix();
-    r.user_categories = metrics_.utility_by_user_category(setup_->default_category_edges());
-    r.rounds_run = rounds_run_;
-    r.faults = metrics_.fault_summary();
-    double queue_total = 0.0;
-    for (const broker& b : brokers_)
-        queue_total += static_cast<double>(b.sched().queue_size());
-    r.final_queue_items = queue_total / static_cast<double>(brokers_.size());
-    return r;
+    return summarize_run(params_.experiment, metrics_, brokers_, rounds_run_,
+                         setup_->default_category_edges());
 }
 
 void notification_service::export_service_metrics(
@@ -273,6 +251,9 @@ void notification_service::export_service_metrics(
     registry.count("richnote.service.ingest.rejected_user_total", c.ingest_rejected_user);
     registry.count("richnote.service.ingest.rejected_backpressure_total",
                    c.ingest_rejected_backpressure);
+    registry.set_help("richnote.service.ingest.rejected_backpressure_total",
+                      "Wire publishes rejected with 503 because the admission "
+                      "ring was full");
     registry.count("richnote.service.admitted_total", c.admitted);
     registry.count("richnote.service.rounds_total", c.rounds_run);
     registry.count("richnote.service.reshards_total", c.reshards);
@@ -280,22 +261,10 @@ void notification_service::export_service_metrics(
     registry.gauge_set("richnote.service.worker_threads",
                        static_cast<double>(c.worker_threads));
     registry.gauge_set("richnote.service.users", static_cast<double>(c.users));
-    // richnote.svc.* is the lifecycle-era vocabulary (DESIGN.md §13): the
-    // ingest counters again under the new prefix (dashboards standardize on
-    // it), alongside the stage-latency histograms below. The legacy
-    // richnote.service.* names above stay — existing scrapes keep working.
-    registry.count("richnote.svc.ingest_accepted", c.ingest_accepted);
-    registry.count("richnote.svc.ingest_rejected_parse", c.ingest_rejected_parse);
-    registry.count("richnote.svc.ingest_rejected_user", c.ingest_rejected_user);
-    registry.count("richnote.svc.ingest_rejected_backpressure",
-                   c.ingest_rejected_backpressure);
-    registry.set_help("richnote.svc.ingest_rejected_backpressure",
-                      "Wire publishes rejected with 503 because the admission "
-                      "ring was full");
     if (params_.experiment.lifecycle != nullptr) {
         params_.experiment.lifecycle->export_metrics(registry);
     }
-    export_metrics(metrics_, registry);
+    export_metrics(metrics_.totals(), registry);
 }
 
 } // namespace richnote::core

@@ -17,11 +17,12 @@ const char* const slot_names[profile_slot_count] = {
     "richnote.profile.broker_round",  "richnote.profile.scheduler_plan",
     "richnote.profile.mckp_solve",    "richnote.profile.forest_predict",
     "richnote.profile.forest_fit",    "richnote.profile.sim_tick",
+    "richnote.profile.admit",
 };
 
 const char* const slot_labels[profile_slot_count] = {
     "broker_round", "scheduler_plan", "mckp_solve",
-    "forest_predict", "forest_fit", "sim_tick",
+    "forest_predict", "forest_fit", "sim_tick", "admit",
 };
 
 std::uint64_t now_ns() noexcept {

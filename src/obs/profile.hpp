@@ -45,6 +45,7 @@ enum class profile_slot : std::uint8_t {
     forest_predict,     ///< ml::flat_forest batch inference
     forest_fit,         ///< ml::random_forest::fit
     sim_tick,           ///< sim::simulator round advance
+    admit,              ///< due-item ordering + core::broker::admit (U_c scoring)
     slot_count,
 };
 

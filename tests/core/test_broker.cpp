@@ -88,7 +88,7 @@ TEST_F(broker_test, round_delivers_when_connected_and_budgeted) {
     b.run_round(0.0);
     EXPECT_EQ(b.sched().queue_size(), 0u);
     EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 1.0);
-    EXPECT_GT(metrics_.total_energy_joules(), 0.0);
+    EXPECT_GT(metrics_.totals().energy_joules, 0.0);
 }
 
 TEST_F(broker_test, nothing_delivers_when_offline) {
@@ -141,7 +141,7 @@ TEST_F(broker_test, delivery_timestamps_reflect_link_serialization) {
     b.run_round(0.0);
     // Two 200.2 KB items over 200 KB/s cellular: ~1 s and ~2 s after the
     // round starts; both well under an hour.
-    const double delay = metrics_.mean_queuing_delay_sec();
+    const double delay = metrics_.totals().queuing_delay_sec.mean();
     EXPECT_GT(delay, 0.5);
     EXPECT_LT(delay, 10.0);
 }
@@ -167,7 +167,7 @@ TEST_F(broker_test, link_capacity_limits_per_round_bytes) {
     b.run_round(0.0);
     EXPECT_LT(metrics_.total_delivered(), 1000.0);
     EXPECT_GT(metrics_.total_delivered(), 800.0);
-    EXPECT_LE(metrics_.total_bytes_delivered(), 200.0 * 1024.0 * 3600.0);
+    EXPECT_LE(metrics_.totals().bytes_delivered, 200.0 * 1024.0 * 3600.0);
 }
 
 TEST_F(broker_test, rejects_invalid_construction) {

@@ -80,7 +80,7 @@ TEST_F(failure_injection, permanent_outage_queues_everything) {
     }
     EXPECT_EQ(broker.sched().queue_size(), 48u);
     EXPECT_DOUBLE_EQ(metrics_.total_delivered(), 0.0);
-    EXPECT_DOUBLE_EQ(metrics_.total_energy_joules(), 0.0);
+    EXPECT_DOUBLE_EQ(metrics_.totals().energy_joules, 0.0);
 }
 
 TEST_F(failure_injection, recovery_after_outage_drains_the_backlog) {
@@ -114,7 +114,7 @@ TEST_F(failure_injection, dead_battery_stops_richnote_deliveries_eventually) {
     // far fewer than the 200 offered items are delivered, and total energy
     // is bounded by the initial credit (plus one overshoot).
     EXPECT_LT(metrics_.total_delivered(), 200.0);
-    EXPECT_LE(metrics_.total_energy_joules(), 3000.0 + 50.0);
+    EXPECT_LE(metrics_.totals().energy_joules, 3000.0 + 50.0);
     EXPECT_GT(broker.sched().queue_size(), 0u);
 }
 

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "common/error.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace {
 
+using richnote::core::fault_counters;
 using richnote::core::metrics_recorder;
 using richnote::core::planned_delivery;
+using richnote::core::user_metrics;
 using richnote::trace::notification;
 
 notification make_note(std::uint64_t id, richnote::trace::user_id user, bool clicked,
@@ -52,10 +57,10 @@ TEST(metrics, delivery_ratio_and_bytes) {
     m.on_arrival(n1);
     m.on_delivery(make_delivery(n0, 2, 1000.0, 0.3), 10.0, 5.0, true);
     EXPECT_DOUBLE_EQ(m.delivery_ratio(), 0.5);
-    EXPECT_DOUBLE_EQ(m.total_bytes_delivered(), 1000.0);
-    EXPECT_DOUBLE_EQ(m.total_metered_bytes(), 1000.0);
-    EXPECT_DOUBLE_EQ(m.total_utility(), 0.3);
-    EXPECT_DOUBLE_EQ(m.total_energy_joules(), 5.0);
+    EXPECT_DOUBLE_EQ(m.totals().bytes_delivered, 1000.0);
+    EXPECT_DOUBLE_EQ(m.totals().metered_bytes_delivered, 1000.0);
+    EXPECT_DOUBLE_EQ(m.totals().utility_delivered, 0.3);
+    EXPECT_DOUBLE_EQ(m.totals().energy_joules, 5.0);
 }
 
 TEST(metrics, unmetered_bytes_are_separated) {
@@ -63,8 +68,8 @@ TEST(metrics, unmetered_bytes_are_separated) {
     const auto n = make_note(0, 0, false);
     m.on_arrival(n);
     m.on_delivery(make_delivery(n, 1, 500.0, 0.1), 1.0, 1.0, false);
-    EXPECT_DOUBLE_EQ(m.total_bytes_delivered(), 500.0);
-    EXPECT_DOUBLE_EQ(m.total_metered_bytes(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().bytes_delivered, 500.0);
+    EXPECT_DOUBLE_EQ(m.totals().metered_bytes_delivered, 0.0);
 }
 
 TEST(metrics, precision_requires_delivery_before_click) {
@@ -75,8 +80,8 @@ TEST(metrics, precision_requires_delivery_before_click) {
     m.on_arrival(late);
     m.on_delivery(make_delivery(early, 1, 10, 0.1), 50.0, 0.0, true);  // before click
     m.on_delivery(make_delivery(late, 1, 10, 0.1), 200.0, 0.0, true);  // after click
-    EXPECT_DOUBLE_EQ(m.precision(), 0.5); // one of two deliveries before click
-    EXPECT_DOUBLE_EQ(m.recall(), 1.0);    // both clicked items delivered
+    EXPECT_DOUBLE_EQ(m.totals().precision(), 0.5); // one of two deliveries before click
+    EXPECT_DOUBLE_EQ(m.totals().recall(), 1.0);    // both clicked items delivered
 }
 
 TEST(metrics, recall_counts_clicked_deliveries_regardless_of_time) {
@@ -86,9 +91,9 @@ TEST(metrics, recall_counts_clicked_deliveries_regardless_of_time) {
     m.on_arrival(clicked);
     m.on_arrival(unclicked);
     m.on_delivery(make_delivery(clicked, 1, 10, 0.2), 50.0, 0.0, true); // after click
-    EXPECT_DOUBLE_EQ(m.recall(), 1.0);
-    EXPECT_DOUBLE_EQ(m.precision(), 0.0);
-    EXPECT_DOUBLE_EQ(m.total_utility_clicked(), 0.2);
+    EXPECT_DOUBLE_EQ(m.totals().recall(), 1.0);
+    EXPECT_DOUBLE_EQ(m.totals().precision(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().utility_clicked, 0.2);
 }
 
 TEST(metrics, queuing_delay_statistics) {
@@ -99,7 +104,7 @@ TEST(metrics, queuing_delay_statistics) {
     m.on_arrival(n1);
     m.on_delivery(make_delivery(n0, 1, 10, 0.1), 160.0, 0.0, true); // 60 s
     m.on_delivery(make_delivery(n1, 1, 10, 0.1), 280.0, 0.0, true); // 180 s
-    EXPECT_DOUBLE_EQ(m.mean_queuing_delay_sec(), 120.0);
+    EXPECT_DOUBLE_EQ(m.totals().queuing_delay_sec.mean(), 120.0);
 }
 
 TEST(metrics, level_mix_fractions_sum_to_one) {
@@ -125,8 +130,8 @@ TEST(metrics, level_mix_fractions_sum_to_one) {
 TEST(metrics, session_overhead_adds_energy_only) {
     metrics_recorder m(1, 6);
     m.on_session_overhead(0, 12.5);
-    EXPECT_DOUBLE_EQ(m.total_energy_joules(), 12.5);
-    EXPECT_DOUBLE_EQ(m.total_bytes_delivered(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().energy_joules, 12.5);
+    EXPECT_DOUBLE_EQ(m.totals().bytes_delivered, 0.0);
 }
 
 TEST(metrics, user_categories_bucket_by_arrivals) {
@@ -159,16 +164,127 @@ TEST(metrics, average_utility_per_delivery) {
     m.on_arrival(n1);
     m.on_delivery(make_delivery(n0, 1, 10, 0.2), 1.0, 0.0, true);
     m.on_delivery(make_delivery(n1, 1, 10, 0.6), 1.0, 0.0, true);
-    EXPECT_DOUBLE_EQ(m.average_utility_per_delivery(), 0.4);
+    EXPECT_DOUBLE_EQ(m.totals().average_utility(), 0.4);
 }
 
 TEST(metrics, empty_recorder_returns_zeroes) {
     metrics_recorder m(2, 6);
     EXPECT_DOUBLE_EQ(m.delivery_ratio(), 0.0);
-    EXPECT_DOUBLE_EQ(m.precision(), 0.0);
-    EXPECT_DOUBLE_EQ(m.recall(), 0.0);
-    EXPECT_DOUBLE_EQ(m.mean_queuing_delay_sec(), 0.0);
-    EXPECT_DOUBLE_EQ(m.average_utility_per_delivery(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().precision(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().recall(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().queuing_delay_sec.mean(), 0.0);
+    EXPECT_DOUBLE_EQ(m.totals().average_utility(), 0.0);
+}
+
+TEST(metrics, sparse_totals_equal_every_user_loops_bitwise) {
+    // 10,000 users, ~1% touched, some only through the calls that do not
+    // count an arrival. totals(), level_mix() and export_metrics must equal
+    // the per-field loops over EVERY user bit for bit (== on doubles).
+    constexpr std::size_t users = 10'000;
+    metrics_recorder m(users, 6);
+    std::mt19937_64 gen(12345);
+    auto unit = [&gen] { return static_cast<double>(gen() >> 11) * 0x1.0p-53; };
+    auto pick = [&gen] { return static_cast<richnote::trace::user_id>(gen() % users); };
+    std::uint64_t id = 0;
+    for (int k = 0; k < 60; ++k) {
+        const auto u = pick();
+        for (int a = 0, n = 1 + static_cast<int>(gen() % 5); a < n; ++a) {
+            const auto note = make_note(id++, u, gen() % 2 == 0, 100.0 * unit(), 1e4 * unit());
+            m.on_arrival(note);
+            if (gen() % 3 != 0) {
+                m.on_delivery(make_delivery(note, 1 + gen() % 6, 1e5 * unit(), unit()),
+                              note.created_at + 1e3 * unit(), 10.0 * unit(), gen() % 2 == 0,
+                              gen() % 4 == 0 ? 5e4 * unit() : -1.0);
+            }
+        }
+        if (gen() % 2 == 0) m.on_transfer_interrupted(u, 1e4 * unit());
+        if (gen() % 4 == 0) m.on_dead_letter(u);
+        if (gen() % 5 == 0) m.on_crash_restart(u);
+    }
+    // Users reached only through calls that never count an arrival.
+    for (int k = 0; k < 10; ++k) {
+        m.on_session_overhead(pick(), 3.0 * unit());
+        m.on_fault(pick());
+        m.on_duplicate_suppressed(pick());
+        m.on_resume(pick(), 1e3 * unit());
+    }
+
+    double arrived = 0, delivered = 0, clicked = 0, hit_clicked = 0, hit_before = 0;
+    double bytes = 0, metered = 0, utility = 0, utility_clicked = 0, energy = 0;
+    richnote::running_stats delay;
+    fault_counters faults;
+    for (std::size_t u = 0; u < users; ++u) {
+        const user_metrics& x = m.user(u);
+        arrived += static_cast<double>(x.arrived);
+        delivered += static_cast<double>(x.delivered);
+        clicked += static_cast<double>(x.clicked_total);
+        hit_clicked += static_cast<double>(x.delivered_clicked);
+        hit_before += static_cast<double>(x.delivered_before_click);
+        bytes += x.bytes_delivered;
+        metered += x.metered_bytes_delivered;
+        utility += x.utility_delivered;
+        utility_clicked += x.utility_clicked;
+        energy += x.energy_joules;
+        delay.merge(x.queuing_delay_sec);
+        faults.accumulate(x.faults);
+    }
+    std::vector<double> mix(7, 0.0);
+    double mixed = 0;
+    for (std::size_t u = 0; u < users; ++u) {
+        for (std::size_t level = 1; level <= 6; ++level) {
+            mix[level] += static_cast<double>(m.user(u).level_counts[level]) / arrived;
+            mixed += static_cast<double>(m.user(u).level_counts[level]);
+        }
+    }
+    mix[0] = 1.0 - mixed / arrived;
+    ASSERT_GT(delivered, 0.0);
+    ASSERT_GT(faults.resumed_bytes, 0.0);
+
+    const user_metrics t = m.totals();
+    EXPECT_EQ(static_cast<double>(t.arrived), arrived);
+    EXPECT_EQ(static_cast<double>(t.delivered), delivered);
+    EXPECT_EQ(t.bytes_delivered, bytes);
+    EXPECT_EQ(t.metered_bytes_delivered, metered);
+    EXPECT_EQ(t.utility_delivered, utility);
+    EXPECT_EQ(t.utility_clicked, utility_clicked);
+    EXPECT_EQ(t.energy_joules, energy);
+    EXPECT_EQ(t.delivery_ratio(), delivered / arrived);
+    EXPECT_EQ(t.recall(), hit_clicked / clicked);
+    EXPECT_EQ(t.precision(), hit_before / delivered);
+    EXPECT_EQ(t.average_utility(), utility / delivered);
+    EXPECT_EQ(t.queuing_delay_sec.mean(), delay.mean());
+    EXPECT_EQ(t.faults.faults_injected, faults.faults_injected);
+    EXPECT_EQ(t.faults.transfer_retries, faults.transfer_retries);
+    EXPECT_EQ(t.faults.dead_lettered, faults.dead_lettered);
+    EXPECT_EQ(t.faults.duplicates_suppressed, faults.duplicates_suppressed);
+    EXPECT_EQ(t.faults.crash_restarts, faults.crash_restarts);
+    EXPECT_EQ(t.faults.partial_bytes, faults.partial_bytes);
+    EXPECT_EQ(t.faults.resumed_bytes, faults.resumed_bytes);
+    EXPECT_EQ(m.level_mix(), mix);
+
+    richnote::obs::metrics_registry reg;
+    richnote::core::export_metrics(t, reg);
+    EXPECT_EQ(reg.counter("richnote.delivery.arrived_total"),
+              static_cast<std::uint64_t>(arrived));
+    EXPECT_EQ(reg.counter("richnote.delivery.delivered_total"),
+              static_cast<std::uint64_t>(delivered));
+    EXPECT_EQ(reg.gauge("richnote.delivery.bytes_total"), bytes);
+    EXPECT_EQ(reg.gauge("richnote.delivery.metered_bytes_total"), metered);
+    EXPECT_EQ(reg.gauge("richnote.run.delivery_ratio"), delivered / arrived);
+    EXPECT_EQ(reg.gauge("richnote.run.precision"), hit_before / delivered);
+    EXPECT_EQ(reg.gauge("richnote.run.recall"), hit_clicked / clicked);
+    EXPECT_EQ(reg.gauge("richnote.run.utility_total"), utility);
+    EXPECT_EQ(reg.gauge("richnote.run.utility_clicked_total"), utility_clicked);
+    EXPECT_EQ(reg.gauge("richnote.run.energy_joules_total"), energy);
+    EXPECT_EQ(reg.gauge("richnote.run.mean_queuing_delay_sec"), delay.mean());
+    EXPECT_EQ(reg.counter("richnote.faults.injected_total"), faults.faults_injected);
+    EXPECT_EQ(reg.counter("richnote.faults.retries_total"), faults.transfer_retries);
+    EXPECT_EQ(reg.counter("richnote.faults.dead_letters_total"), faults.dead_lettered);
+    EXPECT_EQ(reg.counter("richnote.faults.duplicates_suppressed_total"),
+              faults.duplicates_suppressed);
+    EXPECT_EQ(reg.counter("richnote.faults.crash_restarts_total"), faults.crash_restarts);
+    EXPECT_EQ(reg.gauge("richnote.faults.partial_bytes_total"), faults.partial_bytes);
+    EXPECT_EQ(reg.gauge("richnote.faults.resumed_bytes_total"), faults.resumed_bytes);
 }
 
 TEST(metrics, rejects_bad_construction_and_ranges) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/wire.hpp"
 #include "obs/lifecycle.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
 #include "trace/notification.hpp"
 
@@ -293,7 +295,62 @@ TEST_F(service_test, lifecycle_tracking_never_changes_outputs) {
     traced.export_service_metrics(registry);
     EXPECT_EQ(registry.get_histogram("richnote.svc.e2e_us").total_count(),
               lifecycle.delivered());
-    EXPECT_EQ(registry.counter("richnote.svc.ingest_accepted"), c.ingest_accepted);
+    EXPECT_EQ(registry.counter("richnote.service.ingest.accepted_total"), c.ingest_accepted);
+}
+
+TEST_F(service_test, idle_fleet_never_changes_run_series) {
+    // A fleet of mostly idle brokers (fleet_users > trace users, as
+    // `richnote serve fleet_users=` runs) fed the same lines for the same
+    // rounds as a trace-sized service exports identical run series: the
+    // idle brokers add nothing, bit for bit, for any worker count.
+    const auto run_series = [&](std::size_t fleet, std::size_t threads) {
+        service_params sp = serve_params(threads);
+        sp.user_count = fleet;
+        notification_service svc(*setup_, sp);
+        ingest_workload(svc);
+        svc.run_rounds(60);
+        richnote::obs::metrics_registry registry;
+        svc.export_service_metrics(registry);
+        std::map<std::string, double> series;
+        for (const char* prefix : {"richnote.delivery.", "richnote.run.", "richnote.faults."}) {
+            for (const auto& [name, value] : registry.counters())
+                if (name.rfind(prefix, 0) == 0) series[name] = static_cast<double>(value);
+            for (const auto& [name, value] : registry.gauges())
+                if (name.rfind(prefix, 0) == 0) series[name] = value;
+        }
+        return series;
+    };
+
+    const auto reference = run_series(setup_->world().user_count(), 1);
+    ASSERT_EQ(reference.size(), 18u);
+    ASSERT_GT(reference.at("richnote.delivery.delivered_total"), 0.0);
+    for (const std::size_t threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        EXPECT_EQ(run_series(setup_->world().user_count(), threads), reference);
+        EXPECT_EQ(run_series(5'000, threads), reference);
+    }
+}
+
+TEST_F(service_test, admission_is_profiled_only_where_items_are_due) {
+    // The admit slot covers due-item ordering + broker::admit (U_c scoring)
+    // and opens only for users with due items, so an idle broker's round
+    // never enters it.
+    namespace obs = richnote::obs;
+    obs::profile_configure({1, 1u << 13});
+    obs::profile_reset();
+    obs::profile_set_enabled(true);
+    service_params sp = serve_params(2);
+    sp.user_count = 1'000;
+    notification_service svc(*setup_, sp);
+    ingest_workload(svc);
+    svc.run_rounds(60);
+    obs::profile_set_enabled(false);
+    const auto admit = obs::profile_read(obs::profile_slot::admit);
+    EXPECT_EQ(obs::profile_read(obs::profile_slot::broker_round).calls, 60'000u);
+    EXPECT_GT(admit.calls, 0u);
+    EXPECT_LE(admit.calls, svc.counters().admitted);
+    EXPECT_LE(admit.calls, setup_->world().user_count() * 60);
+    obs::profile_reset();
 }
 
 TEST_F(service_test, lifecycle_trace_is_byte_identical_across_worker_counts) {

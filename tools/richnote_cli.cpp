@@ -628,10 +628,16 @@ int cmd_evaluate(const config& cfg) {
             status = "retired@" + std::to_string(arm.retired_after) + " by " +
                      result.arms[arm.retired_by].name;
         }
-        const std::string interval =
-            acc.count() >= 2 ? "[" + format_double(ci.lo, 1) + ", " +
-                                   format_double(ci.hi, 1) + "]"
-                             : "-";
+        // Built by appending: GCC 12 at -O3 flags `"[" + std::string` with a
+        // -Wrestrict false positive.
+        std::string interval = "-";
+        if (acc.count() >= 2) {
+            interval = "[";
+            interval += format_double(ci.lo, 1);
+            interval += ", ";
+            interval += format_double(ci.hi, 1);
+            interval += "]";
+        }
         t.add_row({arm.name, std::to_string(acc.count()),
                    format_double(acc.mean(), 1), interval, status});
     }
@@ -709,10 +715,10 @@ int cmd_serve(const config& cfg) {
                 .count();
         snap.rounds_per_sec =
             snap.wall_sec > 0.0 ? static_cast<double>(c.rounds_run) / snap.wall_sec : 0.0;
+        const core::user_metrics totals = service.metrics().totals();
         snap.arrived_total = c.admitted;
-        snap.delivered_total =
-            static_cast<std::uint64_t>(service.metrics().total_delivered());
-        snap.duplicates_suppressed = service.metrics().fault_summary().duplicates_suppressed;
+        snap.delivered_total = totals.delivered;
+        snap.duplicates_suppressed = totals.faults.duplicates_suppressed;
         expo.publish_progress(snap);
     };
 
